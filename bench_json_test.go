@@ -1,6 +1,6 @@
 // Machine-readable benchmark manifest. TestBenchJSON is disabled unless
-// BENCH_JSON names an output path; CI runs it as the bench job (once per
-// GOMAXPROCS setting) and uploads the file as an artifact, then
+// BENCH_JSON names an output path; CI runs it as the bench job and
+// uploads the file as an artifact, then
 // cmd/benchguard compares it against the committed baseline
 // (bench_baseline_6.json). The manifest has two sections:
 //
@@ -9,13 +9,10 @@
 //     absolute throughput, the fast path's speedup, and allocations per
 //     reference (a hard benchguard gate — allocation counts are
 //     deterministic, unlike wall clock);
-//   - cycle_loops: the serial scheduled loop against the sharded parallel
-//     loop on p=16 and p=64 runs of the same workload, recording the
-//     parallel loop's wall-clock speedup. The refs/cycles cross-checks
-//     double as a bit-identity smoke test. go_max_procs is recorded so
-//     benchguard only compares wall-clock rows between runs with the
-//     same core budget; at GOMAXPROCS>=4 CI requires the parallel loop
-//     to beat the serial one (-min-parallel-speedup).
+//   - cycle_loops: the scheduled loop on p=16 and p=64 runs of the same
+//     workload, the manifest's only 16- and 64-processor rows with a hard
+//     allocs/ref gate. go_max_procs is recorded so benchguard only
+//     compares wall-clock rows between runs with the same core budget.
 package numachine_test
 
 import (
@@ -58,8 +55,7 @@ type benchLoopMode struct {
 	AllocsPerRef  float64 `json:"allocs_per_ref"`
 }
 
-// benchLoopEntry compares the serial scheduled loop against the sharded
-// parallel loop on one workload run (fast path on in both).
+// benchLoopEntry is the scheduled loop on one workload run (fast path on).
 type benchLoopEntry struct {
 	Name      string        `json:"name"`
 	Procs     int           `json:"procs"`
@@ -67,9 +63,6 @@ type benchLoopEntry struct {
 	Refs      int64         `json:"refs"`
 	SimCycles int64         `json:"sim_cycles"`
 	Scheduled benchLoopMode `json:"scheduled"`
-	Parallel  benchLoopMode `json:"parallel"`
-	// ParallelSpeedup is scheduled wall time over parallel wall time.
-	ParallelSpeedup float64 `json:"parallel_speedup_wall"`
 }
 
 // benchServeEntry is the serving-layer saturation row: one canonical
@@ -239,8 +232,7 @@ var benchJSONWorkloads = []struct {
 }
 
 // benchLoopWorkloads are the cycle_loops rows: the same workload at a
-// mid-size and full-machine processor count, where the sharded
-// interconnect has 16 station shards to spread across cores.
+// mid-size and full-machine processor count.
 var benchLoopWorkloads = []struct {
 	name        string
 	procs, size int
@@ -251,14 +243,13 @@ var benchLoopWorkloads = []struct {
 	{"water-nsq", 64, 64},
 }
 
-// measureWorkload runs one workload under the named cycle loop and returns
+// measureWorkload runs one workload under the scheduled loop and returns
 // wall time, malloc count, completed references and simulated cycles. The
 // simulation itself is deterministic; only the wall clock varies.
-func measureWorkload(t *testing.T, name string, procs, size int, fastHits bool, loop string) (wall time.Duration, mallocs uint64, refs, cycles int64) {
+func measureWorkload(t *testing.T, name string, procs, size int, fastHits bool) (wall time.Duration, mallocs uint64, refs, cycles int64) {
 	t.Helper()
 	cfg := benchConfig()
 	cfg.FastHits = fastHits
-	cfg.ParallelStations = loop == "parallel"
 	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -283,13 +274,13 @@ func measureWorkload(t *testing.T, name string, procs, size int, fastHits bool, 
 
 // benchMode measures one mode with a warm-up discarded and the faster of
 // two timed repetitions kept (the usual defence against scheduler noise).
-func benchMode(t *testing.T, name string, procs, size int, fastHits bool, loop string) (benchModeResult, int64, int64) {
+func benchMode(t *testing.T, name string, procs, size int, fastHits bool) (benchModeResult, int64, int64) {
 	t.Helper()
 	var best time.Duration
 	var mallocs uint64
 	var refs, cycles int64
 	for rep := 0; rep < 2; rep++ {
-		wall, ma, re, cy := measureWorkload(t, name, procs, size, fastHits, loop)
+		wall, ma, re, cy := measureWorkload(t, name, procs, size, fastHits)
 		if rep > 0 && re != refs {
 			t.Fatalf("%s: reference count changed between repetitions: %d vs %d", name, refs, re)
 		}
@@ -319,8 +310,8 @@ func TestBenchJSON(t *testing.T) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for _, w := range benchJSONWorkloads {
-		fast, refs, cycles := benchMode(t, w.name, w.procs, w.size, true, "scheduled")
-		slow, refsOff, cyclesOff := benchMode(t, w.name, w.procs, w.size, false, "scheduled")
+		fast, refs, cycles := benchMode(t, w.name, w.procs, w.size, true)
+		slow, refsOff, cyclesOff := benchMode(t, w.name, w.procs, w.size, false)
 		if refs != refsOff || cycles != cyclesOff {
 			t.Errorf("%s: fast/slow runs disagree: refs %d vs %d, cycles %d vs %d",
 				w.name, refs, refsOff, cycles, cyclesOff)
@@ -335,27 +326,16 @@ func TestBenchJSON(t *testing.T) {
 			w.name, refs, cycles, fast.RefsPerSec, slow.RefsPerSec, fast.RefsPerSec/slow.RefsPerSec)
 	}
 	for _, w := range benchLoopWorkloads {
-		sched, refs, cycles := benchMode(t, w.name, w.procs, w.size, true, "scheduled")
-		par, refsPar, cyclesPar := benchMode(t, w.name, w.procs, w.size, true, "parallel")
-		if refs != refsPar || cycles != cyclesPar {
-			t.Errorf("%s/p%d: scheduled/parallel runs disagree: refs %d vs %d, cycles %d vs %d",
-				w.name, w.procs, refs, refsPar, cycles, cyclesPar)
-		}
-		speedup := float64(sched.WallNS) / float64(par.WallNS)
+		sched, refs, cycles := benchMode(t, w.name, w.procs, w.size, true)
 		file.CycleLoops = append(file.CycleLoops, benchLoopEntry{
 			Name: w.name, Procs: w.procs, Size: w.size,
 			Refs: refs, SimCycles: cycles,
 			Scheduled: benchLoopMode{
 				WallNS: sched.WallNS, NSPerSimCycle: sched.NSPerSimCycle, AllocsPerRef: sched.AllocsPerRef,
 			},
-			Parallel: benchLoopMode{
-				WallNS: par.WallNS, NSPerSimCycle: par.NSPerSimCycle, AllocsPerRef: par.AllocsPerRef,
-			},
-			ParallelSpeedup: speedup,
 		})
-		t.Logf("%-10s p=%-2d loops: scheduled %.0fms parallel %.0fms speedup %.2fx (GOMAXPROCS=%d)",
-			w.name, w.procs, float64(sched.WallNS)/1e6, float64(par.WallNS)/1e6,
-			speedup, runtime.GOMAXPROCS(0))
+		t.Logf("%-10s p=%-2d scheduled %.0fms %.4f allocs/ref",
+			w.name, w.procs, float64(sched.WallNS)/1e6, sched.AllocsPerRef)
 	}
 	sv := measureServe(t)
 	file.Serve = &sv

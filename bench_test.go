@@ -217,27 +217,25 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleLoop compares the three cycle loops on the same workloads:
-// the naive tick-everything reference, the event-aware quiescence
-// scheduler, and the station-parallel two-phase loop. All three produce
-// bit-identical results (internal/core/equivalence_test.go); the scheduler
-// skips ticks of provably idle components and fast-forwards fully
-// quiescent stretches, and the parallel loop additionally shards the
-// station phase across cores, so the ratios are the speedups of the
-// optimized loops. CI runs this trio with -benchmem and archives the
-// output, recording the perf trajectory per PR.
+// BenchmarkCycleLoop compares the two cycle loops on the same workloads:
+// the naive tick-everything reference and the event-aware quiescence
+// scheduler. Both produce bit-identical results
+// (internal/core/equivalence_test.go); the scheduler skips ticks of
+// provably idle components and fast-forwards fully quiescent stretches,
+// so the ratio is the optimized loop's speedup. CI runs this pair with
+// -benchmem and archives the output, recording the perf trajectory per
+// PR.
 func BenchmarkCycleLoop(b *testing.B) {
 	workset := []struct {
 		workload string
 		procs    int
 	}{{"ocean", 64}, {"water-nsq", 64}}
 	for _, w := range workset {
-		for _, loop := range []string{"naive", "scheduler", "parallel"} {
+		for _, loop := range []string{"naive", "scheduler"} {
 			b.Run(w.workload+"/"+loop, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := benchConfig()
 					cfg.NaiveLoop = loop == "naive"
-					cfg.ParallelStations = loop == "parallel"
 					m, err := core.New(cfg)
 					if err != nil {
 						b.Fatal(err)

@@ -1,6 +1,6 @@
 // benchguard compares a freshly generated benchmark manifest (BENCH_6.json,
 // produced by `BENCH_JSON=... go test -run TestBenchJSON .`) against the
-// committed baseline and fails on three classes of regression:
+// committed baseline and fails on two classes of regression:
 //
 //   - Throughput: per-row fast-hits refs/sec against the baseline row, with
 //     a generous default threshold (20%) meant to catch structural
@@ -15,16 +15,8 @@
 //     is HARD — -soft does not downgrade it — and applies regardless of
 //     go_max_procs. A small fractional+absolute slack absorbs Go-runtime
 //     background allocation drift without letting a lost pool through.
-//
-//   - Parallel scaling: with -min-parallel-speedup > 0, every cycle_loops
-//     row in the current manifest must show the sharded parallel loop
-//     beating the serial scheduled loop by at least that factor. This is a
-//     property of the current run alone (no baseline row needed) and is
-//     also hard; CI sets it only on multi-core legs, where the sharded
-//     interconnect has cores to spread across. -warn-parallel-speedup sets
-//     an additional soft stretch target above the hard floor: rows below
-//     it are flagged but never fail, so the floor can be raised once the
-//     stretch target stops warning on real runners.
+//     The cycle_loops rows (p=16 and p=64) carry the same hard gate on the
+//     scheduled loop's allocs_per_ref.
 package main
 
 import (
@@ -59,14 +51,12 @@ type loopMode struct {
 }
 
 type loopEntry struct {
-	Name            string   `json:"name"`
-	Procs           int      `json:"procs"`
-	Size            int      `json:"size"`
-	Refs            int64    `json:"refs"`
-	SimCycles       int64    `json:"sim_cycles"`
-	Scheduled       loopMode `json:"scheduled"`
-	Parallel        loopMode `json:"parallel"`
-	ParallelSpeedup float64  `json:"parallel_speedup_wall"`
+	Name      string   `json:"name"`
+	Procs     int      `json:"procs"`
+	Size      int      `json:"size"`
+	Refs      int64    `json:"refs"`
+	SimCycles int64    `json:"sim_cycles"`
+	Scheduled loopMode `json:"scheduled"`
 }
 
 type serveEntry struct {
@@ -123,8 +113,8 @@ func key(name string, procs, size int) string {
 // exceed the baseline by at most allocSlack fractionally plus a small
 // absolute floor (so near-zero baselines don't make the gate hair-trigger).
 // The floor was 0.05 when the pools still left per-transaction directory
-// state and multicast originals to the GC; with those recycled and the
-// free lists leveled, baselines sit at 0.02–0.44 and cross-GOMAXPROCS
+// state and multicast originals to the GC; with those recycled, baselines
+// sit at 0.02–0.44 and cross-GOMAXPROCS
 // measurement drift is under 3%, so 0.02 absolute + 10% fractional holds
 // comfortably while catching any single lost recycling path.
 func allocsRegressed(baseline, current, allocSlack float64) bool {
@@ -136,9 +126,7 @@ func main() {
 	currentPath := flag.String("current", "BENCH_6.json", "freshly generated manifest")
 	threshold := flag.Float64("threshold", 0.20, "max tolerated fractional refs/sec regression")
 	allocSlack := flag.Float64("alloc-slack", 0.10, "max tolerated fractional allocs/ref growth (hard gate)")
-	minParSpeedup := flag.Float64("min-parallel-speedup", 0, "if >0, require parallel/scheduled wall-clock speedup >= this on every cycle_loops row (hard gate)")
-	warnParSpeedup := flag.Float64("warn-parallel-speedup", 0, "if >0, warn (never fail) when a cycle_loops row's parallel speedup is below this — the stretch target that precedes raising -min-parallel-speedup")
-	soft := flag.Bool("soft", false, "report throughput regressions but exit 0 (alloc and speedup gates stay hard)")
+	soft := flag.Bool("soft", false, "report throughput regressions but exit 0 (the alloc gate stays hard)")
 	flag.Parse()
 
 	base, err := load(*baselinePath)
@@ -172,7 +160,7 @@ func main() {
 	}
 
 	regressed := 0  // throughput (softenable)
-	hardFailed := 0 // allocations, parallel speedup (never softened)
+	hardFailed := 0 // allocations (never softened)
 	compared := 0
 	for _, c := range cur.Workloads {
 		k := key(c.Name, c.Procs, c.Size)
@@ -214,21 +202,13 @@ func main() {
 		status := "ok"
 		if b, ok := baseLoops[k]; ok && c.Refs == b.Refs && c.SimCycles == b.SimCycles {
 			compared++
-			if allocsRegressed(b.Parallel.AllocsPerRef, c.Parallel.AllocsPerRef, *allocSlack) ||
-				allocsRegressed(b.Scheduled.AllocsPerRef, c.Scheduled.AllocsPerRef, *allocSlack) {
+			if allocsRegressed(b.Scheduled.AllocsPerRef, c.Scheduled.AllocsPerRef, *allocSlack) {
 				status = "ALLOCS REGRESSED"
 				hardFailed++
 			}
 		}
-		if *minParSpeedup > 0 && c.ParallelSpeedup < *minParSpeedup {
-			status = "PARALLEL TOO SLOW"
-			hardFailed++
-		} else if *warnParSpeedup > 0 && c.ParallelSpeedup < *warnParSpeedup {
-			status = "below stretch target (warn only)"
-		}
-		fmt.Printf("%-24s loops: scheduled %6.0fms parallel %6.0fms speedup %.2fx  %s\n",
-			k, float64(c.Scheduled.WallNS)/1e6, float64(c.Parallel.WallNS)/1e6,
-			c.ParallelSpeedup, status)
+		fmt.Printf("%-24s scheduled %6.0fms  allocs/ref %.3f  %s\n",
+			k, float64(c.Scheduled.WallNS)/1e6, c.Scheduled.AllocsPerRef, status)
 	}
 	// Serving-layer saturation throughput: simulated-time req/kcycle, so
 	// host speed does not enter — but the gate stays soft because the
@@ -277,7 +257,7 @@ func main() {
 		os.Exit(2)
 	}
 	if hardFailed > 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: %d hard-gate failures (allocations or parallel speedup)\n", hardFailed)
+		fmt.Fprintf(os.Stderr, "benchguard: %d allocation hard-gate failures\n", hardFailed)
 		os.Exit(1)
 	}
 	if regressed > 0 {

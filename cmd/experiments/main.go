@@ -18,12 +18,9 @@
 // The -procs flag trims the speedup sweeps (default 1,2,4,8,16,32,64) and
 // -scale scales problem sizes (1 = defaults from EXPERIMENTS.md).
 //
-// Two independent levels of host parallelism are available, composable and
-// both deterministic: -workers N runs the independent (workload, P)
-// simulation points of a sweep on N goroutines (0 = GOMAXPROCS, 1 =
-// serial; output is byte-identical either way), and -parallel enables the
-// station-parallel cycle loop inside each simulation (bit-identical
-// results, enforced by the equivalence suite).
+// -workers N runs the independent (workload, P) simulation points of a
+// sweep on N goroutines (0 = GOMAXPROCS, 1 = serial); output is
+// byte-identical either way.
 //
 // -trace-dir DIR additionally captures a Chrome/Perfetto trace of every
 // sweep point as DIR/<workload>-p<procs>.json (best effort: sweep
@@ -34,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -48,8 +44,6 @@ func main() {
 	procsFlag := flag.String("procs", "1,2,4,8,16,32,64", "processor counts for speedup sweeps")
 	scale := flag.Int("scale", 1, "problem size multiplier for speedup sweeps")
 	workers := flag.Int("workers", 1, "goroutines for independent sweep points (0 = GOMAXPROCS)")
-	parallel := flag.Bool("parallel", false, "station-parallel cycle loop inside each simulation")
-	maxProcs := flag.Int("gomaxprocs", 0, "cap OS threads running Go code (0 = runtime default); makes scaling comparisons reproducible across hosts")
 	serveBase := flag.String("serve-base", "duration=60000,tenants=4", "base -serve-spec for the serving sweep (coordinates appended per point)")
 	serveSeed := flag.Uint64("serve-seed", 1, "load-generator seed for the serving sweep")
 	resilBase := flag.String("resil-base", "open=4,duration=20000,procs=16,tenants=4,qcap=8,span=256,class=urgent:2:6:10:25:1000,class=interactive:3:8:20:25:4000,class=batch:1:48:60:50:0", "base -serve-spec for the resilience sweep")
@@ -59,9 +53,6 @@ func main() {
 	traceEvt := flag.Int("trace-events", 0, "per-component trace ring-buffer capacity (0 = default)")
 	prof := profile.AddFlags()
 	flag.Parse()
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
 	what := flag.Arg(0)
 	if what == "" {
 		what = "all"
@@ -93,7 +84,6 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	cfg.ParallelStations = *parallel
 	run := func(name string, fn func() error) {
 		switch what {
 		case "all", name:

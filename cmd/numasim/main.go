@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"numachine/internal/core"
 	"numachine/internal/profile"
@@ -42,8 +41,6 @@ func main() {
 		nc       = flag.Int("nc-lines", 65536, "network cache lines per station")
 		firstT   = flag.Bool("first-touch", false, "first-touch page placement (default round robin)")
 		noSC     = flag.Bool("no-sc-locking", false, "disable sequential-consistency locking (§2.3 ablation)")
-		par      = flag.Bool("parallel", false, "station-parallel cycle loop (bit-identical; needs multiple cores to pay off)")
-		maxProcs = flag.Int("gomaxprocs", 0, "cap OS threads running Go code (0 = runtime default); pairs with -parallel for reproducible scaling runs")
 		naive    = flag.Bool("naive", false, "reference per-cycle loop instead of the event-aware scheduler")
 		fastHits = flag.Bool("fast-hits", true, "resolve cache hits in the workload front end (bit-identical; disable to A/B against the lock-step handshake)")
 		list     = flag.Bool("list", false, "list available workloads and exit")
@@ -64,9 +61,6 @@ func main() {
 	)
 	prof := profile.AddFlags()
 	flag.Parse()
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
 
 	if *list {
 		for _, n := range workloads.Names() {
@@ -88,7 +82,6 @@ func main() {
 	if *firstT {
 		cfg.Placement = core.FirstTouch
 	}
-	cfg.ParallelStations = *par
 	cfg.NaiveLoop = *naive
 	cfg.FastHits = *fastHits
 	cfg.FaultSpec = *faultSpec
@@ -127,12 +120,7 @@ func main() {
 		name = inst.Name
 	}
 
-	loop := "scheduled"
-	if *par {
-		loop = "parallel"
-	} else if *naive {
-		loop = "naive"
-	}
+	loop := cfg.LoopName()
 	if *traceOut != "" {
 		m.EnableTrace(*traceEvt)
 	}

@@ -6,13 +6,11 @@
 // single-transaction forwarding used by interventions (one bus transfer
 // observed by both the memory/NC and the requesting processor).
 //
-// Concurrency contract: a Bus and every module it arbitrates are
-// station-local. Tick drains only its own station's output queues and
-// delivers only to its own station's modules — ring-interface-bound
-// messages merely land on the RI's inbound FIFO, which the RI owns — so
-// under the station-parallel cycle loop (core.Config.ParallelStations)
-// each Bus ticks on its station's phase-1 worker with no cross-station
-// state reachable.
+// Concurrency contract: a Bus is unsynchronized; the machine's
+// single-threaded cycle loop ticks it. Tick drains only its own station's
+// output queues and delivers only to its own station's modules —
+// ring-interface-bound messages merely land on the RI's packetization
+// queues.
 package bus
 
 import (

@@ -178,10 +178,7 @@ func equivScenarios() []equivScenario {
 }
 
 // equivLoops are the cycle-loop variants every scenario must agree across.
-// "parallel" requests ParallelStations; on FirstTouch scenarios the machine
-// falls back to the scheduled loop, which this harness deliberately still
-// runs (the fallback must be equivalent too).
-var equivLoops = []string{"naive", "scheduled", "parallel"}
+var equivLoops = []string{"naive", "scheduled"}
 
 // runEquiv executes one scenario under the named loop and returns the
 // machine plus the Run() return value.
@@ -189,12 +186,7 @@ func runEquiv(t *testing.T, sc equivScenario, loop string) (*Machine, int64) {
 	t.Helper()
 	cfg := sc.cfg()
 	cfg.CheckInvariants = true // coherence re-checked at every quiescence
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
+	cfg.NaiveLoop = loop == "naive"
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
@@ -273,11 +265,10 @@ func compareRuns(t *testing.T, aName, bName string, ma, mb *Machine, cyclesA, cy
 	}
 }
 
-// TestSchedulerEquivalence is the harness the optimized cycle loops are
-// judged by: for every scenario, the naive tick-everything loop, the
-// event-aware scheduled loop, and the station-parallel loop must produce
-// bit-identical cycle counts, per-CPU completion times, and every
-// monitored statistic.
+// TestSchedulerEquivalence is the harness the optimized cycle loop is
+// judged by: for every scenario, the naive tick-everything loop and the
+// event-aware scheduled loop must produce bit-identical cycle counts,
+// per-CPU completion times, and every monitored statistic.
 func TestSchedulerEquivalence(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		sc := sc

@@ -21,12 +21,11 @@ package core
 //	          plus a grant), and a ring-borne arrival (land, forward, and
 //	          win a grant; an injection and slot hop further out when the
 //	          local ring is provably empty).
-//	tier 2.5  no packet in transit anywhere (serial loops only — the check
-//	          reads cross-station state, which a phase-1 worker must not):
-//	          ring-borne threats must start from scratch, so the remote
-//	          floor — the cheapest of a busy remote bus handing its RI a
-//	          message, a staging remote controller, or a fresh remote CPU
-//	          request — replaces the land-this-cycle pessimism.
+//	tier 2.5  no packet in transit anywhere: ring-borne threats must
+//	          start from scratch, so the remote floor — the cheapest of a
+//	          busy remote bus handing its RI a message, a staging remote
+//	          controller, or a fresh remote CPU request — replaces the
+//	          land-this-cycle pessimism.
 //	tier 3    no message anywhere (deliveryQuiet; held memory locks are
 //	          passive state, not message sources): only CPUs can create
 //	          traffic, so the horizon is the earliest other-CPU wake plus
@@ -47,9 +46,7 @@ import (
 )
 
 // hitHorizonFor builds the per-CPU horizon closure wired into
-// proc.CPU.Horizon by Load when Config.FastHits is set. Under the
-// station-parallel loop it reads only station-local state (the CPU's own
-// shard) plus phase-2-owned RI/ring state that is stable during phase 1.
+// proc.CPU.Horizon by Load when Config.FastHits is set.
 func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 	s := c.Station
 	b, mem, nc, ri := m.Buses[s], m.Mems[s], m.NCs[s], m.RIs[s]
@@ -98,7 +95,7 @@ func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 			// covered only by the bus floor.
 			return d
 		}
-		if m.pool == nil && m.quiescedThisCycle() {
+		if m.quiescedThisCycle() {
 			// Tier 3: no message anywhere — only CPUs can initiate traffic,
 			// and a CPU's first push goes to memory/NC/RI, never directly to
 			// another processor's cache, so every threat pays the two- or
@@ -148,17 +145,14 @@ func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 		if riW != sim.Never && riW+arbcmd < deep {
 			deep = riW + arbcmd
 		}
-		if m.pool == nil {
-			// Tier 2.5 (serial loops only — reads cross-station state): if
-			// no packet is in transit anywhere, ring-borne threats must
-			// start from scratch and the remote floor replaces the
-			// land-this-cycle pessimism.
-			if rf, ok := m.remoteTransitFloor(); ok {
-				if rf < deep {
-					deep = rf
-				}
-				return cap(now, deep)
+		// Tier 2.5: if no packet is in transit anywhere, ring-borne
+		// threats must start from scratch and the remote floor replaces
+		// the land-this-cycle pessimism.
+		if rf, ok := m.remoteTransitFloor(); ok {
+			if rf < deep {
+				deep = rf
 			}
+			return cap(now, deep)
 		}
 		ringAt := now + 1
 		if lr.Drained() {

@@ -20,12 +20,7 @@ func runFastEquiv(t *testing.T, sc equivScenario, loop string, fast bool, fs *fa
 		cfg.Params.RetryBackoff = true
 		cfg.Params.RetryJitterSeed = fs.seed
 	}
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
+	cfg.NaiveLoop = loop == "naive"
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
@@ -46,7 +41,7 @@ func runFastEquiv(t *testing.T, sc equivScenario, loop string, fast bool, fs *fa
 // TestFastHitsEquivalence is the acceptance harness for the front-end
 // hit fast path: with Config.FastHits on, every scenario must produce a
 // bit-identical Results snapshot and a byte-identical text trace to the
-// FastHits-off run — under all three cycle loops. The off-baseline runs
+// FastHits-off run — under both cycle loops. The off-baseline runs
 // once under the naive loop; cross-loop identity of the baseline itself
 // is covered by the scheduler/trace equivalence harnesses, so comparing
 // each fast(loop) run against off(naive) spans the full on/off × loop

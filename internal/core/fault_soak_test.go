@@ -51,12 +51,7 @@ func runFaulted(t *testing.T, sc equivScenario, loop string, fs faultSchedule, t
 	cfg.FaultSeed = fs.seed
 	cfg.Params.RetryBackoff = true
 	cfg.Params.RetryJitterSeed = fs.seed
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
+	cfg.NaiveLoop = loop == "naive"
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", sc.name, fs.name, err)
@@ -113,7 +108,7 @@ func TestFaultSoak(t *testing.T) {
 
 // TestFaultTraceEquivalence extends the trace-equivalence harness to
 // faulted runs: with a fixed (seed, spec), the faults land on the same
-// packets at the same cycles under all three cycle loops, so the merged
+// packets at the same cycles under both cycle loops, so the merged
 // text trace must stay byte-identical and every monitored statistic must
 // match bit for bit.
 func TestFaultTraceEquivalence(t *testing.T) {
@@ -189,12 +184,7 @@ func TestStuckTransactionReport(t *testing.T) {
 			cfg.Params.DeadlockCycles = 25_000
 			cfg.FaultSpec = "wedge-mem=0:2000"
 			cfg.FaultSeed = 1
-			switch loop {
-			case "naive":
-				cfg.NaiveLoop = true
-			case "parallel":
-				cfg.ParallelStations = true
-			}
+			cfg.NaiveLoop = loop == "naive"
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

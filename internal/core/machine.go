@@ -46,25 +46,12 @@ type Config struct {
 	// implementation and for debugging.
 	NaiveLoop bool
 
-	// ParallelStations runs the station phase of each cycle (processors,
-	// buses, memory modules, network caches) on a worker pool, one shard
-	// per station, with the ring phase serialized behind a barrier. Results
-	// stay bit-identical to the serial loops. Ignored under NaiveLoop, and
-	// under FirstTouch placement (same-cycle first touches from different
-	// stations have no serial order to reproduce), where the machine falls
-	// back to the scheduled serial loop.
-	ParallelStations bool
-
-	// StationWorkers bounds the worker pool for ParallelStations;
-	// 0 means GOMAXPROCS.
-	StationWorkers int
-
 	// FastHits resolves L1/L2 cache hits synchronously in the workload
 	// goroutine within a back-end-published delivery horizon, banking hit
 	// cycles into Ref.Pre like compute coalescing — zero channel operations
 	// per hit (see internal/proc/fasthits.go and DESIGN.md "Front-end hit
 	// filtering"). Results and traces are bit-identical with it on or off;
-	// the equivalence suites enforce this across all three cycle loops and
+	// the equivalence suites enforce this across both cycle loops and
 	// faulted schedules. DefaultConfig enables it.
 	FastHits bool
 
@@ -72,8 +59,8 @@ type Config struct {
 	// fault.ParseSpec); the empty string disables injection entirely and
 	// reproduces the fault-free machine byte for byte. FaultSeed seeds
 	// every injector PRNG stream: a fixed (seed, spec) pair yields the
-	// same faults — at the same cycles, on the same packets — under all
-	// three cycle loops.
+	// same faults — at the same cycles, on the same packets — under both
+	// cycle loops.
 	FaultSpec string
 	FaultSeed uint64
 
@@ -86,18 +73,14 @@ type Config struct {
 	CheckInvariants bool
 }
 
-// LoopName names the cycle loop this configuration selects: "naive",
-// "parallel", or "scheduled" (the default). Error messages and sweep
-// drivers use it so any run is reproducible from its label.
+// LoopName names the cycle loop this configuration selects: "naive" or
+// "scheduled" (the default). Error messages and sweep drivers use it so
+// any run is reproducible from its label.
 func (cfg Config) LoopName() string {
-	switch {
-	case cfg.NaiveLoop:
+	if cfg.NaiveLoop {
 		return "naive"
-	case cfg.ParallelStations && cfg.Placement != FirstTouch:
-		return "parallel"
-	default:
-		return "scheduled"
 	}
+	return "scheduled"
 }
 
 // DefaultConfig returns the 64-processor prototype configuration.
@@ -136,16 +119,12 @@ type Machine struct {
 	// distinct mask is expanded once per machine instead of per call.
 	maskCache *topo.MaskCache
 
-	// msgPools/pktPools are every message and packet free list in the
-	// machine, collected once so rebalancePools can level them: structs
-	// are allocated by the sending side's pool but recycled into the pool
-	// where they die, so asymmetric traffic steadily drains some free
-	// lists while growing others. Leveling runs only at serial points
-	// (Load, and the Run loop every rebalanceEvery cycles after flushing
-	// any deferred central tick) and is invisible to simulated behaviour.
-	msgPools    []*msg.MessagePool
-	pktPools    []*msg.PacketPool
-	rebalanceAt int64
+	// msgs and pkts are the machine's message and packet free lists,
+	// shared by every component: a struct is allocated wherever a message
+	// or packet is created and recycled wherever it dies, and one LIFO
+	// list per type keeps that migration from draining any free list.
+	msgs msg.MessagePool
+	pkts msg.PacketPool
 
 	now      int64
 	heapNext uint64
@@ -158,36 +137,6 @@ type Machine struct {
 	// wasQuiesced tracks quiescence transitions for Config.CheckInvariants
 	// (the check runs once per quiescent period, not once per cycle).
 	wasQuiesced bool
-
-	// Station-parallel cycle loop (nil pool when serial): stations tick
-	// concurrently in phase 1, one shard each, and ring groups tick
-	// concurrently in phase 2 (see parallel.go). stationCPUs[s] are the
-	// CPUs of station s in tick order. inParallelPhase marks phase 1 so
-	// shared controllers (the barrier) buffer per station instead of
-	// mutating global state from worker goroutines. parPhase selects the
-	// shard body for the current pool dispatch; it is written only at
-	// serial points. phase2Ring[s] is the ring led by shard s in phase 2
-	// (-1 when shard s is idle in that phase). busFedRing / ringFedCentral
-	// stage the two influence marks that would otherwise race across
-	// shards; stationNext / ringNext are per-shard aggregate wakes used as
-	// the dispatch-skip masks.
-	pool            *sim.ShardPool
-	stationCPUs     [][]*proc.CPU
-	inParallelPhase bool
-	parPhase        int
-
-	// Deferred serial tail: when the central ring has work at cycle N the
-	// parallel loop records it here instead of ticking inline, and performs
-	// the tick overlapped with cycle N+1's phase-1 dispatch (or at the next
-	// serial observation point, whichever comes first). See flushTail in
-	// parallel.go for the disjointness argument.
-	tailPending    bool
-	tailAt         int64
-	phase2Ring     []int
-	busFedRing     []bool
-	ringFedCentral []bool
-	stationNext    []int64
-	ringNext       []int64
 
 	// watchdogAt is the cycle at which the deadlock watchdog next samples
 	// progress; quiescence fast-forwards clamp to it so the watchdog trips
@@ -206,12 +155,12 @@ type Machine struct {
 	transitOK    bool
 	transitFloor int64
 
-	// gated is set for the scheduled and parallel loops (everything but
-	// NaiveLoop): components tick only when their activity gate fires, with
-	// the poll caches below amortizing the gate itself.
+	// gated is set for the scheduled loop (everything but NaiveLoop):
+	// components tick only when their activity gate fires, with the poll
+	// caches below amortizing the gate itself.
 	gated bool
 
-	// Poll caches for the gated loops (see stepScheduled): the
+	// Poll caches for the gated loop (see stepScheduled): the
 	// cycle at which each component's activity gate must next be consulted.
 	// A cached entry is either the component's own last NextWork report or
 	// an influence mark set when a component that can hand it work ticked.
@@ -290,27 +239,22 @@ func New(cfg Config) (*Machine, error) {
 	m.maskCache = topo.NewMaskCache(g)
 
 	for s := 0; s < g.Stations(); s++ {
-		// One message pool per station, shared by every component of that
-		// station: all of a station's Get/Put calls happen on its phase-1
-		// worker or its ring's phase-2 worker, which the cycle barrier
-		// separates, so the pool needs no locking under any cycle loop.
-		pool := new(msg.MessagePool)
-		m.msgPools = append(m.msgPools, pool)
 		b := bus.New(g, p, s)
-		b.Msgs = pool
+		b.Msgs = &m.msgs
 		m.Buses = append(m.Buses, b)
 		mem := memory.New(g, p, s)
 		mem.Fault = m.inj.Mem(s)
-		mem.Msgs = pool
+		mem.Msgs = &m.msgs
 		m.Mems = append(m.Mems, mem)
 		nc := netcache.New(g, p, s)
 		nc.Fault = m.inj.NC(s)
 		nc.FetchTimeout = m.inj.FetchTimeout()
-		nc.Msgs = pool
+		nc.Msgs = &m.msgs
 		m.NCs = append(m.NCs, nc)
 		ri := ring.NewStationRI(g, p, s, m.credits)
 		ri.Fault = m.inj.RI(s)
-		ri.Msgs = pool
+		ri.Msgs = &m.msgs
+		ri.Pkts = &m.pkts
 		m.RIs = append(m.RIs, ri)
 	}
 	m.runners = make([]*proc.Runner, g.Procs())
@@ -319,7 +263,7 @@ func New(cfg Config) (*Machine, error) {
 		cpu.HomeOf = m.homeOfFor(cpu)
 		cpu.OnBarrier = m.barrierArrive
 		cpu.OnPhase = func(c *proc.CPU, ph uint8) { m.Phases.Set(c.GlobalID, ph) }
-		cpu.Msgs = m.Buses[cpu.Station].Msgs
+		cpu.Msgs = &m.msgs
 		m.CPUs = append(m.CPUs, cpu)
 	}
 	for s := 0; s < g.Stations(); s++ {
@@ -332,12 +276,6 @@ func New(cfg Config) (*Machine, error) {
 		b.Attach(g.ModRI(), m.RIs[s])
 	}
 	m.buildRings()
-	for _, ri := range m.RIs {
-		m.pktPools = append(m.pktPools, ri.PacketPool())
-	}
-	for _, iri := range m.IRIs {
-		m.pktPools = append(m.pktPools, iri.PacketPool())
-	}
 	if !cfg.NaiveLoop {
 		m.gated = true
 		m.pollCPU = make([]int64, g.Procs())
@@ -351,28 +289,6 @@ func New(cfg Config) (*Machine, error) {
 		for s := range m.ringOf {
 			m.ringOf[s] = g.RingOf(s)
 		}
-	}
-	if cfg.LoopName() == "parallel" {
-		for s := 0; s < g.Stations(); s++ {
-			first := g.ProcAt(s, 0)
-			m.stationCPUs = append(m.stationCPUs, m.CPUs[first:first+g.ProcsPerStation])
-		}
-		// Phase-2 shard assignment: the first station of ring r leads ring
-		// group r, every other shard is idle in phase 2. With the pool's
-		// block partition this spreads the ring groups across workers.
-		m.phase2Ring = make([]int, g.Stations())
-		for s := range m.phase2Ring {
-			m.phase2Ring[s] = -1
-		}
-		for r := 0; r < g.Rings; r++ {
-			m.phase2Ring[g.StationAt(r, 0)] = r
-		}
-		m.busFedRing = make([]bool, g.Stations())
-		m.ringFedCentral = make([]bool, g.Rings)
-		m.stationNext = make([]int64, g.Stations())
-		m.ringNext = make([]int64, g.Rings)
-		m.pool = sim.NewShardPool(cfg.StationWorkers, g.Stations(), m.runShard)
-		m.barrier.parArrived = make([][]*proc.CPU, g.Stations())
 	}
 	return m, nil
 }
@@ -394,6 +310,8 @@ func (m *Machine) buildRings() {
 		if multi {
 			iri := ring.NewIRI(p, r, m.credits)
 			iri.Fault = m.inj.IRI(r)
+			iri.Msgs = &m.msgs
+			iri.Pkts = &m.pkts
 			m.IRIs = append(m.IRIs, iri)
 			nodes = append(nodes, iri.LocalPort())
 			centralNodes = append(centralNodes, iri.CentralPort())
@@ -472,26 +390,16 @@ func (m *Machine) HomeOf(addr uint64) int {
 }
 
 // homeOfFor builds the per-CPU home resolver, implementing first-touch
-// assignment when configured. Under the parallel loop the resolver must
-// not memoize: CPUs on different stations call it concurrently during
-// phase 1, and round-robin homes are a pure function of the page anyway
-// (FirstTouch, which genuinely assigns, never runs parallel). pageHome is
-// then read-only during phase 1 — only AllocAt overrides, written before
-// Run — so the concurrent map reads are safe.
+// assignment when configured.
 func (m *Machine) homeOfFor(c *proc.CPU) func(uint64) int {
 	return func(line uint64) int {
 		pg := line / uint64(m.p.PageSize)
 		if s, ok := m.pageHome[pg]; ok {
 			return s
 		}
-		var s int
+		s := int(pg % uint64(m.g.Stations()))
 		if m.Cfg.Placement == FirstTouch {
 			s = c.Station
-		} else {
-			s = int(pg % uint64(m.g.Stations()))
-			if m.pool != nil {
-				return s
-			}
 		}
 		m.pageHome[pg] = s
 		return s
@@ -506,7 +414,6 @@ func (m *Machine) homeOfFor(c *proc.CPU) func(uint64) int {
 type barrierCtl struct {
 	participants int
 	arrived      []*proc.CPU
-	parArrived   [][]*proc.CPU // phase-1 arrival buffers, one per station
 	releases     []barrierRelease
 }
 
@@ -515,19 +422,9 @@ type barrierRelease struct {
 	at  int64
 }
 
-// barrierArrive records a CPU's arrival. During the parallel station phase
-// arrivals land in the caller's station buffer (each buffer is touched by
-// exactly one worker); flushParallelArrivals merges them afterwards.
+// barrierArrive records a CPU's arrival; the last participant schedules
+// everyone's release.
 func (m *Machine) barrierArrive(c *proc.CPU, now int64) {
-	if m.inParallelPhase {
-		s := c.Station
-		m.barrier.parArrived[s] = append(m.barrier.parArrived[s], c)
-		return
-	}
-	m.arriveSerial(c, now)
-}
-
-func (m *Machine) arriveSerial(c *proc.CPU, now int64) {
 	m.barrier.arrived = append(m.barrier.arrived, c)
 	if len(m.barrier.arrived) < m.barrier.participants {
 		return
@@ -538,19 +435,6 @@ func (m *Machine) arriveSerial(c *proc.CPU, now int64) {
 		m.barrier.releases = append(m.barrier.releases, barrierRelease{cpu: cpu, at: now + delay})
 	}
 	m.barrier.arrived = m.barrier.arrived[:0]
-}
-
-// flushParallelArrivals replays the buffered phase-1 arrivals in station
-// order. Processor ids are station-major and each buffer preserves local
-// tick order, so the merged sequence is exactly the order the serial CPU
-// loop would have produced — barrier completion is bit-identical.
-func (m *Machine) flushParallelArrivals(now int64) {
-	for s, buf := range m.barrier.parArrived {
-		for _, c := range buf {
-			m.arriveSerial(c, now)
-		}
-		m.barrier.parArrived[s] = buf[:0]
-	}
 }
 
 // barrierLatency approximates the multicast of barrier-register writes:
@@ -573,9 +457,6 @@ func (m *Machine) fireBarriers() {
 			r.cpu.FinishBarrier(m.now)
 			if m.pollCPU != nil {
 				m.pollCPU[r.cpu.GlobalID] = m.now
-			}
-			if m.stationNext != nil && m.stationNext[r.cpu.Station] > m.now {
-				m.stationNext[r.cpu.Station] = m.now
 			}
 		} else {
 			kept = append(kept, r)
@@ -610,24 +491,7 @@ func (m *Machine) Load(progs []proc.Program) {
 	for i := range m.liveCPU {
 		m.liveCPU[i] = m.runners[i] != nil
 	}
-	m.rebalancePools() // start the phase with leveled free lists
 	m.resetPolls()
-}
-
-// rebalanceEvery is the cycle cadence of the free-list leveling in Run.
-// The interval only has to bound how far a free list can drain between
-// levelings: cross-pool drift is a few structs per thousand cycles even
-// under the most asymmetric workloads, far below the working-set-sized
-// free lists a warmed-up machine carries.
-const rebalanceEvery = 1 << 13
-
-// rebalancePools levels every message and packet free list across the
-// machine (see msg.RebalancePackets). Callers must hold the serial point:
-// no shard may be running, and a deferred central tick must be flushed
-// first because it touches the IRI packet pools.
-func (m *Machine) rebalancePools() {
-	msg.RebalanceMessages(m.msgPools)
-	msg.RebalancePackets(m.pktPools)
 }
 
 // Step advances the machine one cycle in the fixed deterministic order:
@@ -636,17 +500,12 @@ func (m *Machine) rebalancePools() {
 // activity gate fires are ticked; the gate runs immediately before each
 // component's slot in the same order, so it sees exactly the state the
 // naive tick would have seen, and a skipped tick is provably a stats-only
-// no-op that the lazy counters reconcile later. With ParallelStations the
-// station phase runs sharded across workers (see stepParallel); the
-// observable tick order is unchanged.
+// no-op that the lazy counters reconcile later.
 func (m *Machine) Step() {
-	switch {
-	case !m.gated:
-		m.stepNaive()
-	case m.pool != nil:
-		m.stepParallel()
-	default:
+	if m.gated {
 		m.stepScheduled()
+	} else {
+		m.stepNaive()
 	}
 }
 
@@ -921,16 +780,6 @@ func (m *Machine) resetPolls() {
 	if m.Central == nil {
 		m.pollCentral = sim.Never
 	}
-	if m.stationNext != nil {
-		for s := range m.stationNext {
-			m.stationNext[s] = m.now
-			m.busFedRing[s] = false
-		}
-		for r := range m.ringNext {
-			m.ringNext[r] = m.now
-			m.ringFedCentral[r] = false
-		}
-	}
 }
 
 // step advances one cycle and, when the machine proved quiescent, jumps
@@ -945,17 +794,8 @@ func (m *Machine) step() {
 		m.stepNaive()
 		return
 	}
-	ticked := 0
-	wake := sim.Never
-	if m.pool != nil {
-		ticked = m.stepParallel()
-	} else {
-		ticked = m.stepScheduled()
-	}
-	if ticked == 0 {
-		wake = m.cachedWake()
-	}
-	if ticked == 0 {
+	if m.stepScheduled() == 0 {
+		wake := m.cachedWake()
 		if m.watchdogAt > m.now && wake > m.watchdogAt {
 			wake = m.watchdogAt
 		}
@@ -981,7 +821,7 @@ func (m *Machine) step() {
 // under every cycle loop (the quiescence fast-forward clamps to the next
 // drive), so a driver that mutates state visible to workload goroutines —
 // the serving layer's dispatcher — keeps the machine bit-identical across
-// naive/scheduled/parallel. Pass fn == nil to detach.
+// both loops. Pass fn == nil to detach.
 func (m *Machine) SetDriver(every int64, fn func(*Machine)) {
 	if every <= 0 {
 		every = 1
@@ -1001,9 +841,6 @@ func (m *Machine) SetServeReport(fn func() *ServeResults) { m.serveReport = fn }
 func (m *Machine) Run() int64 {
 	start := m.now
 	m.resetPolls()
-	if m.pool != nil {
-		defer m.pool.Stop() // park the workers between runs (and on panic)
-	}
 	// Gate on the CPUs, not the runners: a runner reports Done as soon as
 	// the RefDone sentinel is fetched, but the CPU may still owe its
 	// coalesced trailing compute cycles.
@@ -1016,7 +853,6 @@ func (m *Machine) Run() int64 {
 		return false
 	}
 	lastRefs, lastAt := int64(-1), m.now
-	m.rebalanceAt = m.now + rebalanceEvery
 	if m.p.DeadlockCycles > 0 {
 		m.watchdogAt = lastAt + m.p.DeadlockCycles
 	}
@@ -1033,9 +869,7 @@ func (m *Machine) Run() int64 {
 		if m.onDrive != nil && m.now >= m.driveAt {
 			// Drive before the cycle's step: the driver sees the machine at
 			// the top of cycle now, before any component ticks, exactly as
-			// it would under the naive loop. A deferred central tick from
-			// the previous cycle must land first.
-			m.flushTail()
+			// it would under the naive loop.
 			m.onDrive(m)
 			m.driveAt = m.now + m.driveEvery
 		}
@@ -1050,16 +884,8 @@ func (m *Machine) Run() int64 {
 			m.wasQuiesced = q
 		}
 		if m.onSample != nil && m.now >= m.sampleAt {
-			m.flushTail()
 			m.onSample(m)
 			m.sampleAt = m.now + m.sampleEvery
-		}
-		if m.now >= m.rebalanceAt {
-			// Level the free lists so cross-pool migration cannot drain any
-			// pool below its steady-state working set mid-run.
-			m.flushTail()
-			m.rebalancePools()
-			m.rebalanceAt = m.now + rebalanceEvery
 		}
 		if m.p.DeadlockCycles > 0 && m.now-lastAt >= m.p.DeadlockCycles {
 			refs := m.totalRefs()
@@ -1133,7 +959,6 @@ func (m *Machine) Drain() {
 // Idempotent; a no-op on the naive loop. Results() calls it before
 // snapshotting.
 func (m *Machine) SyncStats() {
-	m.flushTail() // the deferred central tick belongs to the last cycle
 	limit := m.now - 1
 	if limit < 0 {
 		return
@@ -1200,7 +1025,6 @@ func (m *Machine) SampleStationHealth(dst []StationHealth) []StationHealth {
 // Quiesced reports whether no messages remain anywhere in the machine and
 // no memory line is still locked by an unfinished lock transaction.
 func (m *Machine) Quiesced() bool {
-	m.flushTail() // a pending central tick is in-flight work
 	if !m.deliveryQuiet() {
 		return false
 	}
@@ -1292,5 +1116,3 @@ func (m *Machine) totalRefs() int64 {
 // dumpState renders the structured stuck-transaction report for abort
 // messages (see progress.go).
 func (m *Machine) dumpState() string { return m.Progress().String() }
-
-var _ = msg.Invalid // keep the import while the package grows

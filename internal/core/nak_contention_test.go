@@ -13,7 +13,7 @@ import (
 // run must complete (no starvation or retry-budget abort), the counter
 // must show every update applied exactly once, retries must be bounded
 // by the budget, and — because the backoff jitter is drawn from seeded
-// per-requester streams — all three cycle loops must stay bit-identical.
+// per-requester streams — both cycle loops must stay bit-identical.
 func TestNAKContentionBackoff(t *testing.T) {
 	const perProc = 25
 	build := func(loop string) (*Machine, int64, uint64) {
@@ -24,12 +24,7 @@ func TestNAKContentionBackoff(t *testing.T) {
 		cfg.Params.RetryBackoff = true
 		cfg.Params.RetryJitterSeed = 7
 		cfg.Params.MaxRetries = 500
-		switch loop {
-		case "naive":
-			cfg.NaiveLoop = true
-		case "parallel":
-			cfg.ParallelStations = true
-		}
+		cfg.NaiveLoop = loop == "naive"
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

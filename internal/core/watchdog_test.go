@@ -17,12 +17,7 @@ func runWatchdog(t *testing.T, loop string) (panicMsg string) {
 	cfg.Geom = topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}
 	cfg.Params.L2Lines = 64
 	cfg.Params.DeadlockCycles = 2000
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
+	cfg.NaiveLoop = loop == "naive"
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +38,8 @@ func runWatchdog(t *testing.T, loop string) (panicMsg string) {
 // TestWatchdogTripsIdentically is the regression test for the PR 1 "known
 // divergence": quiescence fast-forwards used to jump past the no-progress
 // window, so the scheduled loop sampled the watchdog at different cycles
-// than the naive loop. Jumps now clamp to the watchdog deadline, so all
-// three loops must panic at the same cycle with the same message.
+// than the naive loop. Jumps now clamp to the watchdog deadline, so both
+// loops must panic at the same cycle with the same message.
 func TestWatchdogTripsIdentically(t *testing.T) {
 	ref := runWatchdog(t, "naive")
 	if ref == "" {
@@ -53,14 +48,11 @@ func TestWatchdogTripsIdentically(t *testing.T) {
 	if !strings.Contains(ref, "no progress for 2000 cycles") {
 		t.Fatalf("unexpected watchdog message: %q", ref)
 	}
-	for _, loop := range []string{"scheduled", "parallel"} {
-		got := runWatchdog(t, loop)
-		if got == "" {
-			t.Errorf("%s loop did not trip the watchdog", loop)
-			continue
-		}
-		if got != ref {
-			t.Errorf("%s loop watchdog diverges from naive:\n%s\n--- naive ---\n%s", loop, got, ref)
-		}
+	got := runWatchdog(t, "scheduled")
+	if got == "" {
+		t.Fatal("scheduled loop did not trip the watchdog")
+	}
+	if got != ref {
+		t.Errorf("scheduled loop watchdog diverges from naive:\n%s\n--- naive ---\n%s", got, ref)
 	}
 }

@@ -5,8 +5,11 @@
 // a lazily generated schedule of freeze/degrade windows. Every decision
 // is a pure function of (seed, component name, event sequence) or of the
 // simulated cycle alone, so a faulted run is bit-identical across the
-// naive, scheduled, and station-parallel cycle loops, and the zero-fault
-// configuration (nil Injector, nil Comps) leaves every hook inert.
+// naive and scheduled cycle loops, and the zero-fault configuration (nil
+// Injector, nil Comps) leaves every hook inert.
+//
+// Concurrency contract: Injector and Comp state is unsynchronized; the
+// machine's single-threaded cycle loop makes every draw.
 package fault
 
 import (

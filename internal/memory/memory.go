@@ -11,12 +11,11 @@
 // module also provides the "special functions" of §3.1.2 (kill operations
 // and coherence-bypassing accesses) used by system software.
 //
-// Concurrency contract: a Module is station-local. Tick consumes its own
-// input queue and pushes every response — including network messages for
-// other stations — onto its own outbound bus queue; cross-station
-// delivery happens cycles later through the ring interface. The module
-// may therefore tick on its station's phase-1 worker of the
-// station-parallel cycle loop.
+// Concurrency contract: a Module is unsynchronized; the machine's
+// single-threaded cycle loop ticks it. Tick consumes its own input queue
+// and pushes every response — including network messages for other
+// stations — onto its own outbound bus queue; cross-station delivery
+// happens cycles later through the ring interface.
 package memory
 
 import (

@@ -8,13 +8,10 @@
 // The monitoring is "non-intrusive" in the simulator too: components feed
 // the monitor, and nothing in the timing model depends on it.
 //
-// Concurrency contract: counters, utilization trackers, samplers and
-// tables are unsynchronized; each instance is owned by exactly one
-// component and inherits that component's phase under the
-// station-parallel cycle loop. The shared PhaseIDs register file is
-// written via Set from phase-1 workers — safe because each processor
-// writes only its own slot — while Attribute reads across slots and must
-// run serially.
+// Concurrency contract: the simulator is single-threaded — one goroutine
+// runs the cycle loop and ticks every component — so counters,
+// utilization trackers, samplers, tables and the PhaseIDs register file
+// are unsynchronized.
 package monitor
 
 import (

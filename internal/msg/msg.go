@@ -12,7 +12,6 @@ package msg
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"numachine/internal/topo"
 )
@@ -238,32 +237,28 @@ type Message struct {
 	// descend copy adds one, and every packet death releases one. The site
 	// that observes the count hit zero owns the message and may recycle it —
 	// including multicast originals, which before refcounting always leaked
-	// to the GC. A plain int32 manipulated through sync/atomic (packets of
-	// one message die on different ring shards of the parallel cycle loop);
-	// not an atomic.Int32, whose noCopy field would flag the intentional
-	// whole-struct copies (`*cp = *m`) that create private bus deliveries.
+	// to the GC.
 	refs int32
 }
 
-// InitRefs sets the packet reference count at packetization time, before
-// any packet becomes visible to another shard.
-func (m *Message) InitRefs(n int) { atomic.StoreInt32(&m.refs, int32(n)) }
+// InitRefs sets the packet reference count at packetization time.
+func (m *Message) InitRefs(n int) { m.refs = int32(n) }
 
 // AddRef records one more live packet aliasing the message (a consume or
 // descend copy). Must be called while the caller still holds a live packet
 // of the message, so the count cannot transiently reach zero.
-func (m *Message) AddRef() { atomic.AddInt32(&m.refs, 1) }
+func (m *Message) AddRef() { m.refs++ }
 
 // Release records a packet death and reports whether it was the last one:
 // a true return transfers message ownership to the caller, which may
 // recycle or drop it. Calling Release on a message with no initialized
 // reference count panics — every packetization path must InitRefs first.
 func (m *Message) Release() bool {
-	n := atomic.AddInt32(&m.refs, -1)
-	if n < 0 {
+	m.refs--
+	if m.refs < 0 {
 		panic("msg: packet reference count underflow")
 	}
-	return n == 0
+	return m.refs == 0
 }
 
 // Packets returns the number of ring packets the message occupies.

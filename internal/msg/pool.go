@@ -11,12 +11,15 @@ package msg
 // identity, which is not pooled), and the free list is plain LIFO with no
 // time- or scheduling-dependent state, so runs remain bit-identical.
 //
-// Concurrency: a pool is single-owner, like the component that embeds it.
-// The StationRI pool is touched from its own station's phase-1 worker
-// (BusDeliver) and from the serial phase 2 (HandleSlot/Tick), which never
-// overlap; IRI pools are phase-2-only. Packets may die at a different
-// interface than the one that allocated them — cross-pool migration is
-// harmless because every pool recycles the same struct type.
+// Concurrency contract: a machine owns one PacketPool and one MessagePool,
+// shared by every component, and uses them only from its single-threaded
+// cycle loop; the pools are unsynchronized. Packets and messages routinely
+// die at a different component than the one that allocated them, and a
+// single LIFO free list per type absorbs that migration without drift.
+//
+// All methods tolerate a nil receiver (Get falls back to the heap, Put
+// drops the struct) so components constructed directly in tests work
+// without wiring a pool.
 type PacketPool struct {
 	free []*Packet
 	news int64 // fresh heap allocations (pool misses)
@@ -45,6 +48,9 @@ func PoolDebug() bool { return poolDebug }
 
 // Get returns a zeroed packet, recycling a freed one when available.
 func (p *PacketPool) Get() *Packet {
+	if p == nil {
+		return new(Packet)
+	}
 	if n := len(p.free) - 1; n >= 0 {
 		pkt := p.free[n]
 		p.free[n] = nil
@@ -61,7 +67,7 @@ func (p *PacketPool) Get() *Packet {
 // use-after-free reads a visibly blank packet instead of stale routing
 // state.
 func (p *PacketPool) Put(pkt *Packet) {
-	if pkt == nil {
+	if p == nil || pkt == nil {
 		return
 	}
 	if poolDebug {
@@ -76,42 +82,11 @@ func (p *PacketPool) Put(pkt *Packet) {
 }
 
 // Stats reports fresh allocations and recycled reuses (diagnostics).
-func (p *PacketPool) Stats() (news, hits int64) { return p.news, p.hits }
-
-// RebalancePackets levels the free lists across pools: every pool below
-// the mean free count is topped up from pools above it. Packets routinely
-// die at a different interface than the one that allocated them, so under
-// asymmetric traffic free packets pile up at the busy destinations while
-// the busy sources allocate fresh ones forever; periodic leveling at a
-// serial point turns that steady drift into a one-time warm-up cost.
-// Moving free entries between pools is invisible to the simulation —
-// recycled structs are zeroed and fully overwritten, and pointers are
-// never compared — so leveling cannot perturb bit-identical runs.
-func RebalancePackets(pools []*PacketPool) {
-	if len(pools) < 2 {
-		return
+func (p *PacketPool) Stats() (news, hits int64) {
+	if p == nil {
+		return 0, 0
 	}
-	total := 0
-	for _, p := range pools {
-		total += len(p.free)
-	}
-	target := total / len(pools)
-	d := 0 // donor scan index; donors (above target) and receivers (below) are disjoint
-	for _, p := range pools {
-		for len(p.free) < target {
-			for d < len(pools) && len(pools[d].free) <= target {
-				d++
-			}
-			if d == len(pools) {
-				return
-			}
-			q := pools[d]
-			n := len(q.free) - 1
-			p.free = append(p.free, q.free[n])
-			q.free[n] = nil
-			q.free = q.free[:n]
-		}
-	}
+	return p.news, p.hits
 }
 
 // MessagePool is the Message counterpart of PacketPool. Messages are the
@@ -120,20 +95,16 @@ func RebalancePackets(pools []*PacketPool) {
 // well-defined point — consumed by a memory module or network cache after
 // handling, delivered to a processor, or superseded by the private copy a
 // ring interface hands to its bus. The pool recycles those. Messages whose
-// lifetime is genuinely shared (multicast originals whose packets alias
-// one Message across stations, duplicate-faulted packet chains) are simply
-// never Put and die to the garbage collector as before.
+// lifetime is shared (multicast originals whose packets alias one Message
+// across stations, duplicate-faulted packet chains) are recycled by
+// whichever packet death drops the message's reference count to zero.
 //
 // Determinism: like PacketPool, recycling cannot perturb simulated
 // behaviour — a recycled Message is fully overwritten at reuse, zeroed at
 // release, and the free list is plain LIFO. Message *identity* is used as
 // a reassembly map key while packets are in flight, but every Put site
 // runs strictly after the message has left the in-flight maps (or never
-// entered them).
-//
-// All methods tolerate a nil receiver (Get falls back to the heap, Put
-// drops the message) so components constructed directly in tests work
-// without wiring a pool.
+// entered them). Like PacketPool, it tolerates a nil receiver.
 type MessagePool struct {
 	free []*Message
 	news int64
@@ -179,37 +150,4 @@ func (p *MessagePool) Stats() (news, hits int64) {
 		return 0, 0
 	}
 	return p.news, p.hits
-}
-
-// RebalanceMessages is the MessagePool counterpart of RebalancePackets:
-// messages allocated by a source station are recycled into the consuming
-// station's pool, so asymmetric sharing (e.g. all hot lines homed on one
-// station) drains the requesters' free lists while the home station's pool
-// grows without bound. Leveling at a serial point keeps every station's
-// Get hitting its free list.
-func RebalanceMessages(pools []*MessagePool) {
-	if len(pools) < 2 {
-		return
-	}
-	total := 0
-	for _, p := range pools {
-		total += len(p.free)
-	}
-	target := total / len(pools)
-	d := 0
-	for _, p := range pools {
-		for len(p.free) < target {
-			for d < len(pools) && len(pools[d].free) <= target {
-				d++
-			}
-			if d == len(pools) {
-				return
-			}
-			q := pools[d]
-			n := len(q.free) - 1
-			p.free = append(p.free, q.free[n])
-			q.free[n] = nil
-			q.free = q.free[:n]
-		}
-	}
 }

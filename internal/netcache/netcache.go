@@ -6,10 +6,9 @@
 // the four NC effects measured in §4.5: migration, caching, combining and
 // coherence localization, plus the false-remote-request recovery of §4.6.
 //
-// Concurrency contract: like the memory module, the NC is station-local —
-// Tick reads its own input queue and writes its own outbound bus queue
-// only — so it ticks on its station's phase-1 worker of the
-// station-parallel cycle loop.
+// Concurrency contract: like the memory module, the NC is unsynchronized
+// and ticked by the machine's single-threaded cycle loop; Tick reads its
+// own input queue and writes its own outbound bus queue only.
 package netcache
 
 import (

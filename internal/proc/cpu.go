@@ -128,9 +128,9 @@ type CPU struct {
 	Tr *trace.Sink
 
 	// phase mirrors the monitor's phase-identifier register so the CPU
-	// can attribute transactions without touching shared monitor state
-	// from a phase-1 worker; phaseTxns counts issued transactions per
-	// phase (§3.3.4), aggregated serially by core.
+	// can attribute transactions without reading the shared register file;
+	// phaseTxns counts issued transactions per phase (§3.3.4), aggregated
+	// by core.
 	phase     uint8
 	phaseTxns [256]int64
 

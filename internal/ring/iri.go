@@ -22,14 +22,13 @@ type IRI struct {
 	upQ     *sim.Queue[*msg.Packet]
 	downQ   *sim.Queue[*msg.Packet]
 
-	// pool recycles the descending copies this switch creates and the
+	// Pkts recycles the descending copies this switch creates and the
 	// packets that die here (fully-copied multicast originals, switch-time
-	// drops). Packet deaths here release their message reference but never
-	// recycle the message even on the last release: the IRI owns no message
-	// pool and may run concurrently with station phase-1 workers (the
-	// central tick overlaps them in the parallel loop), so a zero-hit —
-	// possible only for fault-dropped requests — falls back to the GC.
-	pool msg.PacketPool
+	// drops). Msgs recycles a message whose last reference dies here —
+	// possible only for fault-dropped requests. Both are nil-safe; core
+	// wires the machine's shared pools.
+	Pkts *msg.PacketPool
+	Msgs *msg.MessagePool
 
 	// UpDelay feeds Figure 18b (average delay in the upward path of the
 	// central ring interface).
@@ -122,9 +121,7 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 					if i.credits != nil {
 						i.credits.Release(pkt.Msg.SrcStation)
 					}
-					mm := pkt.Msg
-					i.pool.Put(pkt)
-					mm.Release()
+					i.drop(pkt)
 					return nil
 				}
 				pkt.ReadyAt = now + int64(i.p.IRICycles)
@@ -192,15 +189,13 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 						if i.credits != nil {
 							i.credits.Release(pkt.Msg.SrcStation)
 						}
-						mm := pkt.Msg
-						i.pool.Put(pkt)
-						mm.Release()
+						i.drop(pkt)
 						return nil
 					}
 					return pkt
 				}
 				// Copy the packet downward, clearing the higher-level field.
-				cp := i.pool.Get()
+				cp := i.Pkts.Get()
 				*cp = *pkt
 				cp.Msg.AddRef() // the descend copy aliases the message too
 				cp.Mask.Rings = 0
@@ -214,7 +209,7 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 					// Fully copied: the descend copies hold references, so
 					// this release cannot be the last.
 					mm := pkt.Msg
-					i.pool.Put(pkt)
+					i.Pkts.Put(pkt)
 					mm.Release()
 					return nil
 				}
@@ -230,11 +225,12 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	return nil
 }
 
-// PoolStats reports the packet pool's fresh allocations and reuses.
-func (i *IRI) PoolStats() (news, hits int64) { return i.pool.Stats() }
-
-// PacketPool exposes the free list so the machine can level it against the
-// other interfaces' pools at serial points (see msg.RebalancePackets): the
-// IRI allocates every descend copy but the copies die at stations, so its
-// free list only ever drains.
-func (i *IRI) PacketPool() *msg.PacketPool { return &i.pool }
+// drop recycles a packet lost to a fault and releases its message
+// reference, recycling the message too when no other packet aliases it.
+func (i *IRI) drop(pkt *msg.Packet) {
+	mm := pkt.Msg
+	i.Pkts.Put(pkt)
+	if mm.Release() {
+		i.Msgs.Put(mm)
+	}
+}

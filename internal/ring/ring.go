@@ -10,11 +10,9 @@
 // unique path property and per-ring sequencing points give the global
 // ordering of invalidations that the coherence protocol relies on (§2.3).
 //
-// Concurrency contract: ring interfaces, rings and IRIs are the
-// cross-station layer, so they tick only in the serial phase 2 of the
-// station-parallel cycle loop. StationRI.BusDeliver is the one entry
-// point reached from phase 1; it touches only the RI's own packetization
-// queues. Everything else crosses stations: HandleSlot acquires — and
+// Concurrency contract: ring interfaces, rings, IRIs and the credit
+// accounting are unsynchronized; the machine's single-threaded cycle loop
+// ticks them. They are the cross-station layer: HandleSlot acquires — and
 // Tick releases — the flow-control credits of the packet's *source*
 // station, and ring Ticks move slots between nodes of different stations.
 package ring

@@ -1,8 +1,6 @@
 package ring
 
 import (
-	"sync/atomic"
-
 	"numachine/internal/fault"
 	"numachine/internal/monitor"
 	"numachine/internal/msg"
@@ -14,63 +12,38 @@ import (
 // Credits bounds the number of nonsinkable messages each station may have
 // in the network at once (§2.4: up to 16 in the prototype). The bound is
 // what makes the sinkable/nonsinkable queueing discipline deadlock-free.
-//
-// The counters are atomics because credits are the one piece of ring state
-// shared across ring shards of the parallel cycle loop: only station st's
-// own ring interface ever acquires slot st (every ring-bound message is
-// injected at its source station), but releases happen wherever the
-// message is consumed or dropped — any shard. Under the loop's lookahead
-// mask (sharding is only chosen for a cycle when every station has at
-// least one free credit, see core.stepParallel) the single possible
-// acquire per station per cycle succeeds in every interleaving and
-// releases commute, so the atomic orderings never change an outcome; they
-// only make the cross-shard accounting race-free.
+// Only station st's own ring interface acquires slot st (every ring-bound
+// message is injected at its source station); releases happen wherever
+// the message is consumed or dropped.
 type Credits struct {
-	max      int32
-	inFlight []int32
+	max      int
+	inFlight []int
 }
 
 // NewCredits creates the accounting for the given number of stations.
 func NewCredits(stations, max int) *Credits {
-	return &Credits{max: int32(max), inFlight: make([]int32, stations)}
+	return &Credits{max: max, inFlight: make([]int, stations)}
 }
 
 // TryAcquire reserves a slot for a nonsinkable message from station st.
-// Only st's own ring interface calls this, so the load/add pair cannot
-// race another acquire; a concurrent release merely frees headroom.
 func (c *Credits) TryAcquire(st int) bool {
-	if c.max > 0 && atomic.LoadInt32(&c.inFlight[st]) >= c.max {
+	if c.max > 0 && c.inFlight[st] >= c.max {
 		return false
 	}
-	atomic.AddInt32(&c.inFlight[st], 1)
+	c.inFlight[st]++
 	return true
 }
 
 // Release returns the slot when the message is consumed at its target.
 func (c *Credits) Release(st int) {
-	if atomic.AddInt32(&c.inFlight[st], -1) < 0 {
+	c.inFlight[st]--
+	if c.inFlight[st] < 0 {
 		panic("ring: nonsinkable credit underflow")
 	}
 }
 
 // InFlight reports station st's outstanding nonsinkable messages.
-func (c *Credits) InFlight(st int) int { return int(atomic.LoadInt32(&c.inFlight[st])) }
-
-// Headroom reports whether every station holds at least one free credit —
-// the lookahead-mask condition under which the parallel cycle loop may
-// shard the ring phase (at most one acquire per station per cycle can
-// occur, and it succeeds regardless of in-flight releases).
-func (c *Credits) Headroom() bool {
-	if c.max <= 0 {
-		return true
-	}
-	for st := range c.inFlight {
-		if atomic.LoadInt32(&c.inFlight[st]) >= c.max {
-			return false
-		}
-	}
-	return true
-}
+func (c *Credits) InFlight(st int) int { return c.inFlight[st] }
 
 // StationRI is the local ring interface of one station (Figure 11). On the
 // upward path it packetizes bus messages into the sinkable or nonsinkable
@@ -95,25 +68,24 @@ type StationRI struct {
 	firstSeen  map[*msg.Message]int64
 	unpackBusy int64
 
-	// pool recycles the packets this interface creates (packetization and
+	// Pkts recycles the packets this interface creates (packetization and
 	// the per-station consume copy) and the ones that die here (last
 	// multicast destination, injection-time drops, reassembled input). See
 	// msg.PacketPool for why reuse cannot change simulated behaviour.
-	pool msg.PacketPool
+	// Nil-safe; core wires the machine's shared pool.
+	Pkts *msg.PacketPool
 
 	// Msgs recycles messages whose last stop is this interface (nil-safe;
-	// wired by core, shared with the station's other components): loopback
-	// originals superseded by their private copy, and network originals
-	// once the last aliasing packet has died. Aliasing is tracked by the
-	// message's packet reference count: BusDeliver seeds it with the number
-	// of packets created (including duplicate-fault chains), every copy —
-	// the per-station consume copy here, the per-ring descend copy in the
-	// IRI — adds one, and every packet death releases one. The releaser
-	// that drops the count to zero owns the message and recycles it to its
-	// own station's pool, so multicast and dup-faulted originals now
-	// recycle too instead of leaking to the GC. The pool is touched from
-	// the station's phase-1 worker (BusDeliver) and its ring's phase-2
-	// worker (HandleSlot/Tick), which the cycle barrier separates.
+	// core wires the machine's shared pool): loopback originals superseded
+	// by their private copy, and network originals once the last aliasing
+	// packet has died. Aliasing is tracked by the message's packet
+	// reference count: BusDeliver seeds it with the number of packets
+	// created (including duplicate-fault chains), every copy — the
+	// per-station consume copy here, the per-ring descend copy in the IRI —
+	// adds one, and every packet death releases one. The releaser that
+	// drops the count to zero owns the message and recycles it, so
+	// multicast and dup-faulted originals recycle too instead of leaking
+	// to the GC.
 	Msgs *msg.MessagePool
 
 	// Figure 18a measurements.
@@ -134,9 +106,6 @@ type StationRI struct {
 	Dups  monitor.Counter
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
-	// BusDeliver emits from the owning station's phase-1 worker; the
-	// HandleSlot/Tick emissions come from the serial phase 2 — never both
-	// in the same phase, so the sink needs no locking.
 	Tr *trace.Sink
 }
 
@@ -208,7 +177,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	m.InitRefs(copies * n)
 	for c := 0; c < copies; c++ {
 		for i := 0; i < n; i++ {
-			pk := r.pool.Get()
+			pk := r.Pkts.Get()
 			*pk = msg.Packet{
 				Msg:        m,
 				Seq:        i,
@@ -235,7 +204,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	if pkt != nil {
 		if pkt.Mask.Rings == 0 && pkt.Mask.Stations&(1<<uint(r.pos)) != 0 && pkt.Sequenced {
 			if !r.inFIFO.Full() {
-				cp := r.pool.Get()
+				cp := r.Pkts.Get()
 				*cp = *pkt
 				cp.Msg.AddRef() // one more live packet aliases the message
 				r.inFIFO.Push(cp, now)
@@ -246,7 +215,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 					// Last destination: free the slot. The copy above holds a
 					// reference, so the release cannot be the message's last.
 					mm := pkt.Msg
-					r.pool.Put(pkt)
+					r.Pkts.Put(pkt)
 					mm.Release()
 					return nil
 				}
@@ -280,7 +249,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				r.Tr.Emit(now, trace.KindFaultDrop, pk.Msg.Line, pk.Msg.TxnID,
 					int32(pk.Msg.Type), 0)
 				mm := pk.Msg
-				r.pool.Put(pk)
+				r.Pkts.Put(pk)
 				if mm.Release() {
 					r.Msgs.Put(mm)
 				}
@@ -348,7 +317,7 @@ func (r *StationRI) Tick(now int64) {
 		}
 		r.reasm[m]++
 		of := pkt.Of
-		r.pool.Put(pkt) // reassembly is keyed by m; the packet is done
+		r.Pkts.Put(pkt) // reassembly is keyed by m; the packet is done
 		if r.reasm[m] < of {
 			// Mid-chain packet: the chain's remaining packets hold further
 			// references, so this release cannot recycle m while the reasm
@@ -409,13 +378,6 @@ func (r *StationRI) route(m *msg.Message) {
 	m.SrcMod = r.g.ModRI()
 	m.DstStation = r.Station
 }
-
-// PoolStats reports the packet pool's fresh allocations and reuses.
-func (r *StationRI) PoolStats() (news, hits int64) { return r.pool.Stats() }
-
-// PacketPool exposes the free list so the machine can level it against the
-// other interfaces' pools at serial points (see msg.RebalancePackets).
-func (r *StationRI) PacketPool() *msg.PacketPool { return &r.pool }
 
 // QueueStats exposes queue statistics for the monitoring reports.
 func (r *StationRI) QueueStats() (sendSink, sendNonsink, input sim.QueueStats) {

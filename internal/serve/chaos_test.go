@@ -8,9 +8,9 @@ import (
 
 // TestServeChaosSoak is the chaos half of the soak pass: a long
 // closed-loop resilient scenario under injected fault schedules, run on
-// the station-parallel loop with the full mechanism set live (kills,
-// retries, hedges, breaker, shedding) and cross-checked byte-for-byte
-// against the scheduled loop. This is the configuration CI runs under
+// the naive loop with the full mechanism set live (kills, retries,
+// hedges, breaker, shedding) and cross-checked byte-for-byte against the
+// scheduled loop. This is the configuration CI runs under
 // -race: dispatcher-side cancellation flags and worker-side killed flags
 // cross the mailbox protocol constantly here, so any hole in the
 // Sync-pinned alternation contract shows up as a race or a divergence.
@@ -55,9 +55,9 @@ func TestServeChaosSoak(t *testing.T) {
 				t.Errorf("schedule fired no deadline kills; soak is not exercising the kill path")
 			}
 			for _, fast := range []bool{true, false} {
-				report, _ := runServe(t, chaos("parallel", fast), spec, 11)
+				report, _ := runServe(t, chaos("naive", fast), spec, 11)
 				if report != ref {
-					t.Errorf("parallel/fast=%v diverges from scheduled:\n--- scheduled\n%s--- parallel\n%s",
+					t.Errorf("naive/fast=%v diverges from scheduled:\n--- scheduled\n%s--- naive\n%s",
 						fast, ref, report)
 				}
 			}

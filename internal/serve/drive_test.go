@@ -49,15 +49,13 @@ func TestDriveCyclesLoopInvariant(t *testing.T) {
 	if len(ref) < 10 {
 		t.Fatalf("scenario produced only %d drives; test is vacuous", len(ref))
 	}
-	for _, loop := range []string{"scheduled", "parallel"} {
-		got := driveTrace(t, loop)
-		if len(got) != len(ref) {
-			t.Errorf("%s: %d drives, naive %d", loop, len(got), len(ref))
-		}
-		for i := 0; i < len(ref) && i < len(got); i++ {
-			if ref[i] != got[i] {
-				t.Fatalf("drive %d: naive at cycle %d, %s at %d", i, ref[i], loop, got[i])
-			}
+	got := driveTrace(t, "scheduled")
+	if len(got) != len(ref) {
+		t.Errorf("scheduled: %d drives, naive %d", len(got), len(ref))
+	}
+	for i := 0; i < len(ref) && i < len(got); i++ {
+		if ref[i] != got[i] {
+			t.Fatalf("drive %d: naive at cycle %d, scheduled at %d", i, ref[i], got[i])
 		}
 	}
 	// Drives land on the quantum grid: the machine walks or jumps onto

@@ -93,14 +93,14 @@ func TestServeResilienceGoodput(t *testing.T) {
 // TestServeResilienceEquivalence extends the tentpole determinism
 // contract to the resilience layer: kills, retries, hedges, breaker
 // decisions and sheds must land identically — byte-identical reports and
-// DeepEqual results — across all three cycle loops with the fast path on
+// DeepEqual results — across both cycle loops with the fast path on
 // or off, under injected faults.
 func TestServeResilienceEquivalence(t *testing.T) {
 	refReport, refRes := runServe(t, faultConfig("naive", true), chaosResilSpec, chaosServeSeed)
 	if refRes.Serve.Total.Timeouts == 0 || refRes.Serve.Total.Retries == 0 {
 		t.Fatal("resilience scenario fired no timeouts/retries; equivalence test is vacuous")
 	}
-	for _, loop := range []string{"naive", "scheduled", "parallel"} {
+	for _, loop := range []string{"naive", "scheduled"} {
 		for _, fast := range []bool{true, false} {
 			if loop == "naive" && fast {
 				continue // the reference run
@@ -323,13 +323,13 @@ func TestResilienceSpecRoundTrip(t *testing.T) {
 // with errors, not silently accepted.
 func TestResilienceSpecErrors(t *testing.T) {
 	bad := []string{
-		"open=1,duration=100,retries=2",              // retries need kill
-		"open=1,duration=100,kill=2,backoff=10:5",    // backoff needs retries; cap < base
+		"open=1,duration=100,retries=2",                     // retries need kill
+		"open=1,duration=100,kill=2,backoff=10:5",           // backoff needs retries; cap < base
 		"open=1,duration=100,kill=2,retries=1,backoff=10:5", // cap < base
-		"open=1,duration=100,retry-budget=5",         // budget needs retries
-		"open=1,duration=100,hedge=100",              // hedge needs kill
-		"open=1,duration=100,breaker=50:100",         // threshold < 100%
-		"open=1,duration=100,breaker=200",            // missing cooldown
+		"open=1,duration=100,retry-budget=5",                // budget needs retries
+		"open=1,duration=100,hedge=100",                     // hedge needs kill
+		"open=1,duration=100,breaker=50:100",                // threshold < 100%
+		"open=1,duration=100,breaker=200",                   // missing cooldown
 		"open=1,duration=100,shed=maybe",
 		"open=1,duration=100,kill=0",
 		"open=1,duration=100,kill=2,hedge=-5",

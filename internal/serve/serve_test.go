@@ -18,12 +18,7 @@ func testConfig(loop string, fastHits bool) core.Config {
 	cfg.Params.NCLines = 128
 	cfg.Params.DeadlockCycles = 2_000_000
 	cfg.FastHits = fastHits
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
+	cfg.NaiveLoop = loop == "naive"
 	return cfg
 }
 
@@ -66,8 +61,8 @@ var serveSpecs = []string{
 
 // TestServeEquivalence pins the tentpole determinism contract: the same
 // spec+seed produces byte-identical serve reports — and fully identical
-// machine results — across the naive, scheduled and station-parallel
-// loops, with the front-end hit fast path on or off.
+// machine results — across the naive and scheduled loops, with the
+// front-end hit fast path on or off.
 func TestServeEquivalence(t *testing.T) {
 	for _, specStr := range serveSpecs {
 		sp, _ := ParseSpec(specStr)
@@ -76,7 +71,7 @@ func TestServeEquivalence(t *testing.T) {
 			if refRes.Serve.Total.Completed == 0 {
 				t.Fatal("scenario completed no requests; test is vacuous")
 			}
-			for _, loop := range []string{"naive", "scheduled", "parallel"} {
+			for _, loop := range []string{"naive", "scheduled"} {
 				for _, fast := range []bool{true, false} {
 					if loop == "naive" && fast {
 						continue // the reference run

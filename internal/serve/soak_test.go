@@ -3,11 +3,10 @@ package serve
 import "testing"
 
 // TestServeSoak is the serving-layer robustness pass for CI's race jobs:
-// a longer closed-loop scenario under the station-parallel loop — the
-// configuration where dispatcher/worker mailbox handoffs would race if
-// the Sync-pinned protocol were wrong — cross-checked request-for-request
-// against the scheduled loop. Skipped under -short; the equivalence
-// suite already covers the small scenarios there.
+// a longer closed-loop scenario under the naive loop, with the fast path
+// on and off, cross-checked request-for-request against the scheduled
+// loop. Skipped under -short; the equivalence suite already covers the
+// small scenarios there.
 func TestServeSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: long closed-loop run")
@@ -22,9 +21,9 @@ func TestServeSoak(t *testing.T) {
 			s.Total.Arrived, s.Total.Completed, s.Total.Dropped)
 	}
 	for _, fast := range []bool{true, false} {
-		report, _ := runServe(t, testConfig("parallel", fast), spec, 11)
+		report, _ := runServe(t, testConfig("naive", fast), spec, 11)
 		if report != ref {
-			t.Errorf("parallel/fast=%v diverges from scheduled:\n--- scheduled\n%s--- parallel\n%s",
+			t.Errorf("naive/fast=%v diverges from scheduled:\n--- scheduled\n%s--- naive\n%s",
 				fast, ref, report)
 		}
 	}

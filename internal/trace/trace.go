@@ -15,13 +15,14 @@
 // Determinism across cycle loops. Events are emitted only on real work —
 // state transitions, bus grants, queue pushes/pops, ring slot activity —
 // never from the per-cycle idle ticks the quiescence scheduler skips, so
-// each sink records the identical sequence under the naive, scheduled and
-// station-parallel loops. Under the parallel loop every sink is written
-// by exactly one station's phase-1 worker or by the serial phase-2 code,
-// never both in the same phase. The merge orders events by
-// (cycle, component rank, intra-sink sequence), where ranks follow the
-// machine's fixed tick order; all three keys are loop-invariant, so the
-// merged trace is byte-identical whichever loop produced it.
+// each sink records the identical sequence under the naive and scheduled
+// loops. The merge orders events by (cycle, component rank, intra-sink
+// sequence), where ranks follow the machine's fixed tick order; all three
+// keys are loop-invariant, so the merged trace is byte-identical whichever
+// loop produced it.
+//
+// Concurrency contract: sinks and the tracer are unsynchronized; the
+// machine's single-threaded cycle loop writes every sink.
 package trace
 
 import (

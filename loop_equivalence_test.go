@@ -23,7 +23,6 @@ func runWorkloadFast(t *testing.T, name string, procs, size int, loop string, fa
 	cfg := benchConfig()
 	cfg.FastHits = fastHits
 	cfg.NaiveLoop = loop == "naive"
-	cfg.ParallelStations = loop == "parallel"
 	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +40,8 @@ func runWorkloadFast(t *testing.T, name string, procs, size int, loop string, fa
 }
 
 // TestWorkloadFastHitsEquivalence runs the real workload generators with
-// the front-end hit fast path off (baseline, naive loop) and on (all
-// three loops): cycle counts and the full Results snapshot must be
+// the front-end hit fast path off (baseline, naive loop) and on (both
+// loops): cycle counts and the full Results snapshot must be
 // bit-identical. Cross-loop identity at a fixed FastHits setting is
 // covered by TestWorkloadLoopEquivalence, so this axis closes the
 // on/off × loop matrix for real reference streams.
@@ -61,7 +60,7 @@ func TestWorkloadFastHitsEquivalence(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			offCycles, offRes := runWorkloadFast(t, c.name, c.procs, c.size, "naive", false)
-			for _, loop := range []string{"naive", "scheduler", "parallel"} {
+			for _, loop := range []string{"naive", "scheduler"} {
 				cycles, res := runWorkloadFast(t, c.name, c.procs, c.size, loop, true)
 				if offCycles != cycles {
 					t.Errorf("cycle count: off=%d fast/%s=%d", offCycles, loop, cycles)
@@ -90,14 +89,12 @@ func TestWorkloadLoopEquivalence(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			nCycles, nRes := runWorkload(t, c.name, c.procs, c.size, "naive")
-			for _, loop := range []string{"scheduler", "parallel"} {
-				cycles, res := runWorkload(t, c.name, c.procs, c.size, loop)
-				if nCycles != cycles {
-					t.Errorf("cycle count: naive=%d %s=%d", nCycles, loop, cycles)
-				}
-				if !reflect.DeepEqual(nRes, res) {
-					t.Errorf("results diverge:\nnaive: %+v\n%s: %+v", nRes, loop, res)
-				}
+			cycles, res := runWorkload(t, c.name, c.procs, c.size, "scheduler")
+			if nCycles != cycles {
+				t.Errorf("cycle count: naive=%d scheduler=%d", nCycles, cycles)
+			}
+			if !reflect.DeepEqual(nRes, res) {
+				t.Errorf("results diverge:\nnaive: %+v\nscheduler: %+v", nRes, res)
 			}
 		})
 	}
